@@ -8,11 +8,13 @@
 //! ```
 
 use fbc_bench::{banner, paper_workload, results_dir};
+use fbc_core::cache::CacheState;
 use fbc_core::policy::CachePolicy;
 use fbc_core::types::GIB;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
-use fbc_grid::multi::{run_multi_grid, Dispatch, MultiGridConfig};
+use fbc_grid::engine::{run_grid_topology, Dispatch, GridConfig, SrmNode, Topology};
 use fbc_grid::srm::SrmConfig;
+use fbc_obs::Obs;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::{Popularity, Workload};
 
@@ -31,16 +33,13 @@ fn main() {
         },
     );
     // Each node gets a quarter of the single-node cache budget.
-    let config = |dispatch: Dispatch| MultiGridConfig {
+    let config = GridConfig {
         srm: SrmConfig {
             cache_size: (10 * GIB) / NODES as u64,
             max_concurrent_jobs: 2,
             ..SrmConfig::default()
         },
-        nodes: NODES,
-        mss: Default::default(),
-        link: Default::default(),
-        dispatch,
+        ..GridConfig::default()
     };
 
     let mut table = Table::new([
@@ -59,11 +58,19 @@ fn main() {
         let mut policies: Vec<Box<dyn CachePolicy>> = (0..NODES)
             .map(|_| fbc_baselines::PolicyKind::OptFileBundle.build())
             .collect();
-        let stats = run_multi_grid(
-            &mut policies,
+        let mut caches =
+            vec![CacheState::with_catalog(config.srm.cache_size, &workload.catalog); NODES];
+        let stats = run_grid_topology(
+            &mut SrmNode::zip(&mut policies, &mut caches),
+            Topology {
+                dispatch,
+                ..Topology::default()
+            },
             &workload.catalog,
             &arrivals,
-            &config(dispatch),
+            &config,
+            None,
+            &Obs::disabled(),
         );
         table.add_row([
             dispatch.label().to_string(),

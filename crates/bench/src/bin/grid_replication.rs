@@ -9,11 +9,14 @@
 //! ```
 
 use fbc_bench::{banner, paper_workload, results_dir};
+use fbc_core::cache::CacheState;
 use fbc_core::optfilebundle::OptFileBundle;
 use fbc_core::types::GIB;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
-use fbc_grid::replica::{run_grid_replicated, Placement, ReplicaGridConfig};
+use fbc_grid::engine::{run_grid_topology, GridConfig, SrmNode, Storage, Topology};
+use fbc_grid::replica::Placement;
 use fbc_grid::srm::SrmConfig;
+use fbc_obs::Obs;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::{Popularity, Workload};
 
@@ -32,15 +35,13 @@ fn main() {
             seed: 71,
         },
     );
-    let config = |placement: Placement| ReplicaGridConfig {
+    let config = GridConfig {
         srm: SrmConfig {
             cache_size: 2 * GIB,
             max_concurrent_jobs: 4,
             ..SrmConfig::default()
         },
-        mss: Default::default(),
-        link: Default::default(),
-        placement,
+        ..GridConfig::default()
     };
 
     let mut table = Table::new([
@@ -57,12 +58,25 @@ fn main() {
             Placement::random(files, SITES, copies, 0x4E9)
         };
         let mut policy = OptFileBundle::new();
-        let stats = run_grid_replicated(
-            &mut policy,
+        let mut cache = CacheState::with_catalog(config.srm.cache_size, &workload.catalog);
+        let node = SrmNode {
+            policy: &mut policy,
+            cache: &mut cache,
+        };
+        let topology = Topology {
+            storage: Storage::Replicated(&placement),
+            ..Topology::default()
+        };
+        let stats = run_grid_topology(
+            &mut [node],
+            topology,
             &workload.catalog,
             &arrivals,
-            &config(placement),
-        );
+            &config,
+            None,
+            &Obs::disabled(),
+        )
+        .overall;
         table.add_row([
             copies.to_string(),
             f4(stats.cache.byte_miss_ratio()),

@@ -3,10 +3,12 @@
 
 use crate::args::{ArgError, Args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
+use fbc_core::cache::CacheState;
 use fbc_core::policy::CachePolicy;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
-use fbc_grid::multi::{run_multi_grid, Dispatch, MultiGridConfig};
+use fbc_grid::engine::{run_grid_topology, Dispatch, GridConfig, SrmNode, Topology};
 use fbc_grid::srm::SrmConfig;
+use fbc_obs::Obs;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::Trace;
 
@@ -66,20 +68,29 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         Dispatch::LeastLoaded,
         Dispatch::BundleAffinity,
     ] {
-        let config = MultiGridConfig {
+        let config = GridConfig {
             srm: SrmConfig {
                 cache_size: cache,
                 ..SrmConfig::default()
             },
-            nodes,
-            mss: Default::default(),
-            link: Default::default(),
-            dispatch,
+            ..GridConfig::default()
         };
         let mut policies: Vec<Box<dyn CachePolicy>> = (0..nodes)
             .map(|_| policy_by_name(policy_name).expect("validated above"))
             .collect();
-        let stats = run_multi_grid(&mut policies, &trace.catalog, &arrivals, &config);
+        let mut caches = vec![CacheState::with_catalog(cache, &trace.catalog); nodes];
+        let stats = run_grid_topology(
+            &mut SrmNode::zip(&mut policies, &mut caches),
+            Topology {
+                dispatch,
+                ..Topology::default()
+            },
+            &trace.catalog,
+            &arrivals,
+            &config,
+            None,
+            &Obs::disabled(),
+        );
         table.add_row([
             dispatch.label().to_string(),
             f4(stats.overall.cache.byte_miss_ratio()),

@@ -341,7 +341,10 @@ impl CacheState {
                 Some(r) => r,
             }
         };
-        r.pins = r.pins.saturating_sub(1);
+        if r.pins == 0 {
+            return Err(FbcError::NotPinned(file));
+        }
+        r.pins -= 1;
         if r.pins == 0 {
             if file.0 < SPARSE_ID_FLOOR {
                 self.pinned_bits.remove(file.0);
@@ -561,8 +564,9 @@ impl CacheStateReference {
     pub fn unpin(&mut self, file: FileId) -> Result<()> {
         match self.files.get_mut(&file) {
             None => Err(FbcError::NotResident(file)),
+            Some(r) if r.pins == 0 => Err(FbcError::NotPinned(file)),
             Some(r) => {
-                r.pins = r.pins.saturating_sub(1);
+                r.pins -= 1;
                 if r.pins == 0 {
                     self.pinned.remove(&file);
                 }
@@ -695,6 +699,34 @@ mod tests {
         assert!(cache.is_pinned(FileId(0)));
         cache.unpin(FileId(0)).unwrap();
         assert!(!cache.is_pinned(FileId(0)));
+    }
+
+    #[test]
+    fn unpinning_an_unpinned_file_is_an_error() {
+        // Regression: unpin used to saturate at zero and report success,
+        // silently absorbing an unbalanced release.
+        let c = catalog();
+        let mut cache = CacheState::new(100);
+        cache.insert(FileId(0), &c).unwrap();
+        assert_eq!(cache.unpin(FileId(0)), Err(FbcError::NotPinned(FileId(0))));
+        cache.pin(FileId(0)).unwrap();
+        cache.unpin(FileId(0)).unwrap();
+        assert_eq!(cache.unpin(FileId(0)), Err(FbcError::NotPinned(FileId(0))));
+        assert!(!cache.is_pinned(FileId(0)));
+        assert!(cache.check_invariants());
+        // A sparse (interned) id takes the same path.
+        let sparse = FileId(SPARSE_ID_FLOOR + 7);
+        let mut c = catalog();
+        c.add_file_at(sparse, 1).unwrap();
+        cache.insert(sparse, &c).unwrap();
+        assert_eq!(cache.unpin(sparse), Err(FbcError::NotPinned(sparse)));
+        // The reference twin agrees.
+        let mut reference = CacheStateReference::new(100);
+        reference.insert(FileId(0), &c).unwrap();
+        assert_eq!(
+            reference.unpin(FileId(0)),
+            Err(FbcError::NotPinned(FileId(0)))
+        );
     }
 
     #[test]

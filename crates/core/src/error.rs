@@ -23,6 +23,8 @@ pub enum FbcError {
     NotResident(FileId),
     /// A pinned file was evicted.
     Pinned(FileId),
+    /// A pin was released on a file that holds none.
+    NotPinned(FileId),
     /// A configuration value is invalid (e.g. zero capacity, `k > n`).
     InvalidConfig(String),
 }
@@ -42,6 +44,7 @@ impl fmt::Display for FbcError {
             FbcError::DuplicateFile(id) => write!(f, "file {id} already resident"),
             FbcError::NotResident(id) => write!(f, "file {id} is not resident"),
             FbcError::Pinned(id) => write!(f, "file {id} is pinned and cannot be evicted"),
+            FbcError::NotPinned(id) => write!(f, "file {id} is not pinned"),
             FbcError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }

@@ -12,7 +12,7 @@
 //! cache (`on_record` / `on_insert` / `on_evict`); `candidates()` is then
 //! `O(Σ_{f resident} |bundles(f)|)` amortised — in the common regime where
 //! the cache holds a small fraction of all files this is far below a full
-//! scan (see `benches/history.rs`).
+//! scan.
 
 use crate::bitset::ResidencySet;
 use crate::bundle::Bundle;

@@ -1,17 +1,41 @@
-//! The discrete-event grid simulation engine.
+//! The discrete-event grid simulation engine — the grid's one event loop.
 //!
-//! Ties the pieces together: clients submit [`JobArrival`]s to an SRM,
-//! whose replacement policy decides what to evict; missing files are read
-//! from the [`MassStorage`] (drive contention) and shipped over the
-//! [`Link`] (FIFO WAN); after the data arrives the job processes it and
-//! completes. Response times, throughput and cache metrics come out.
+//! Ties the pieces together: clients submit [`JobArrival`]s, a [`Dispatch`]
+//! routes each to an SRM node ([`SrmNode`]) whose replacement policy
+//! decides what to evict; missing files are read from [`Storage`] and
+//! shipped over the shared [`Link`] (FIFO WAN); after the data arrives the
+//! job processes it and completes. Response times, throughput and cache
+//! metrics come out.
+//!
+//! # Topology
+//!
+//! [`run_grid_topology`] runs any [`Topology`]; [`run_grid_on_cache`] (and
+//! the wrappers above it) is its one-node, single-MSS case. Two seams,
+//! both closed enums matched inline:
+//!
+//! - **Storage.** [`Storage::Mss`]: one mass storage system; a job's
+//!   misses are one aggregated drive request, and a job that fetched no
+//!   bytes is a hit. [`Storage::Replicated`]: one MSS per [`Placement`]
+//!   site (each with [`GridConfig::mss`] hardware); every missing file is
+//!   read, in `fetched_files` order, from the replica site whose drive
+//!   would finish it earliest, the job's fetch completes when its last
+//!   file has crossed the link, and a job that fetched no files is a hit.
+//! - **Nodes.** One or more SRM nodes, each with its own policy, cache,
+//!   FIFO queue and [`SrmConfig::max_concurrent_jobs`] service slots, all
+//!   sharing the storage and the link. [`Dispatch`] routes every arrival;
+//!   after each event only the node that event touched is polled. With
+//!   more than one node, obs traces each routing as a `route` event.
+//!
+//! # Faults
 //!
 //! Under a [`FaultPlan`] the engine also models failure: fetches stretched
 //! or stranded by outage windows, transient fetch errors, and per-fetch
-//! timeouts are retried with exponential backoff (see
-//! [`RetryPolicy`]); a job whose retry budget runs out is reported
-//! `failed` and its service slot is released, so the simulation always
-//! terminates.
+//! timeouts are retried with exponential backoff (see [`RetryPolicy`]); a
+//! job whose retry budget runs out is reported `failed` and its service
+//! slot is released, so the simulation always terminates. A replicated
+//! fetch attempt re-reads all of the job's missing files and takes one
+//! transient draw; it is stranded at the first file no replica can ever
+//! deliver. Drive windows apply by drive index within every site.
 //!
 //! Two modelling simplifications (documented in DESIGN.md): the cache
 //! state is updated at *decision* time while the transfer occupies virtual
@@ -23,19 +47,24 @@
 
 use crate::client::JobArrival;
 use crate::event::EventQueue;
-use crate::faults::{FaultInjector, FaultPlan};
+use crate::faults::{FaultInjector, FaultPlan, FOREVER};
 use crate::mss::{MassStorage, MssConfig};
 use crate::network::{Link, LinkConfig};
+use crate::replica::Placement;
+use crate::shard::{ShardBy, ShardMap};
 use crate::srm::{pin_bundle, unpin_bundle, RetryPolicy, SrmConfig};
-use crate::stats::GridStats;
+use crate::stats::{GridStats, MultiGridStats};
 use crate::time::SimTime;
+use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::{CachePolicy, RequestOutcome};
+use fbc_core::types::FileId;
 use fbc_obs::{Field, Obs};
 use std::collections::VecDeque;
 
-/// Full configuration of a single-SRM grid.
+/// Full configuration of a grid: the per-node SRM, the storage hardware
+/// (per site, when replicated) and the shared WAN link.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GridConfig {
     /// The SRM node.
@@ -51,6 +80,87 @@ pub struct GridConfig {
     /// from the bounded accumulator either way, the log is only for
     /// consumers that need every sample.
     pub full_response_log: bool,
+}
+
+/// How arriving jobs are routed to SRM nodes.
+///
+/// Bundle-affinity routing keeps each recurring bundle's files on one node
+/// and preserves the request locality bundle-aware caching exploits;
+/// load-oblivious round-robin destroys it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Dispatch {
+    /// Cycle through the nodes in arrival order.
+    RoundRobin,
+    /// Send to the node with the fewest queued + in-service jobs.
+    LeastLoaded,
+    /// Hash the canonical bundle to a node: every recurrence of a request
+    /// lands on the same cache. This is [`ShardMap`] with
+    /// [`ShardBy::Bundle`], so it shares that map's dependence on std's
+    /// `DefaultHasher` (see [`crate::shard`]).
+    #[default]
+    BundleAffinity,
+}
+
+impl Dispatch {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Dispatch::RoundRobin => "round-robin",
+            Dispatch::LeastLoaded => "least-loaded",
+            Dispatch::BundleAffinity => "bundle-affinity",
+        }
+    }
+}
+
+/// Where the grid reads the files its caches miss.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Storage<'a> {
+    /// One mass storage system; each job's misses are one drive request.
+    #[default]
+    Mss,
+    /// One mass storage system per site of the placement; each missing
+    /// file is read from its earliest-finishing replica.
+    Replicated(&'a Placement),
+}
+
+/// The shape of a grid: its storage and how jobs reach its nodes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Topology<'a> {
+    /// Where misses are read from.
+    pub storage: Storage<'a>,
+    /// How arrivals are routed (irrelevant with one node).
+    pub dispatch: Dispatch,
+}
+
+/// One SRM node: its replacement policy and its disk cache. Rejection
+/// compares against the cache's own capacity, so a node's cache may be
+/// smaller than [`SrmConfig::cache_size`].
+pub struct SrmNode<'a> {
+    /// The node's replacement policy.
+    pub policy: &'a mut dyn CachePolicy,
+    /// The node's disk cache.
+    pub cache: &'a mut CacheState,
+}
+
+impl<'a> SrmNode<'a> {
+    /// Pairs `policies[k]` with `caches[k]`.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn zip(
+        policies: &'a mut [Box<dyn CachePolicy>],
+        caches: &'a mut [CacheState],
+    ) -> Vec<SrmNode<'a>> {
+        assert_eq!(policies.len(), caches.len(), "one policy per node required");
+        policies
+            .iter_mut()
+            .zip(caches)
+            .map(|(policy, cache)| SrmNode {
+                policy: policy.as_mut(),
+                cache,
+            })
+            .collect()
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,86 +182,256 @@ struct JobState {
     requested_bytes: u64,
     /// Fetch attempts issued so far (including the one in flight).
     attempts: u32,
+    /// The node the job was routed to.
+    node: u32,
 }
 
-/// Issues one fetch attempt for job `i` at `now`, scheduling either
-/// `FetchDone` or `FetchFailed`.
-#[allow(clippy::too_many_arguments)]
-fn issue_fetch(
-    i: usize,
-    now: SimTime,
-    config: &GridConfig,
-    mss: &mut MassStorage,
-    link: &mut Link,
-    faults: &mut Option<FaultInjector>,
-    events: &mut EventQueue<Event>,
-    stats: &mut GridStats,
-    jobs: &mut [JobState],
-    obs: &Obs,
-) {
-    let bytes = jobs[i].fetched_bytes;
-    if bytes == 0 {
-        // Pure cache hit: nothing to fetch, nothing that can fail.
-        events.schedule(now, Event::FetchDone(i));
-        return;
+/// A node's FIFO service queue and its count of jobs in service.
+#[derive(Debug, Default)]
+struct Slots {
+    queue: VecDeque<usize>,
+    in_service: usize,
+}
+
+/// The run-time state behind a [`Storage`].
+enum Store<'a> {
+    Mss(MassStorage),
+    Replicated {
+        placement: &'a Placement,
+        sites: Vec<MassStorage>,
+        /// Each job's missing files, kept for its (re-)reads.
+        files: Vec<Vec<FileId>>,
+    },
+}
+
+/// Everything one run mutates, apart from the nodes' policies and caches.
+struct Run<'r> {
+    catalog: &'r FileCatalog,
+    arrivals: &'r [JobArrival],
+    config: &'r GridConfig,
+    obs: &'r Obs,
+    events: EventQueue<Event>,
+    store: Store<'r>,
+    link: Link,
+    faults: Option<FaultInjector>,
+    jobs: Vec<JobState>,
+    slots: Vec<Slots>,
+    stats: MultiGridStats,
+    // Scratch for the batched-hit fast path: reused across polls so a busy
+    // steady state allocates nothing per event.
+    hit_batch: Vec<&'r Bundle>,
+    hit_out: Vec<RequestOutcome>,
+}
+
+impl<'r> Run<'r> {
+    /// Applies `f` to the grid-wide statistics and, with several nodes, to
+    /// node `n`'s.
+    #[inline]
+    fn tally(&mut self, n: usize, f: impl Fn(&mut GridStats)) {
+        f(&mut self.stats.overall);
+        if let Some(node) = self.stats.per_node.get_mut(n) {
+            f(node);
+        }
     }
-    stats.fetch_attempts += 1;
-    jobs[i].attempts += 1;
-    if obs.is_enabled() {
-        obs.incr("grid.fetch_attempts");
-        obs.event(
-            "fetch",
-            &[
-                ("job", Field::u(i as u64)),
-                ("bytes", Field::u(bytes)),
-                ("attempt", Field::u(jobs[i].attempts as u64)),
-            ],
-        );
-    }
-    let read_done = mss.schedule_fetch_with(now, bytes, faults.as_ref());
-    let arrive = read_done.and_then(|t| link.schedule_transfer_with(t, bytes, faults.as_ref()));
-    let deadline = config.retry.fetch_timeout.map(|t| now + t);
-    match arrive {
-        Some(done) => {
-            if let Some(deadline) = deadline {
-                if done > deadline {
-                    // The attempt would finish, but not before the SRM gives
-                    // up on it. The drive/link stay occupied (no cancellation
-                    // in the MSS protocol); the SRM just stops waiting.
-                    stats.fetch_timeouts += 1;
-                    if obs.is_enabled() {
-                        obs.incr("grid.fetch_timeouts");
-                        obs.event("fetch_timeout", &[("job", Field::u(i as u64))]);
+
+    /// Starts as many of node `n`'s queued jobs as its slots and pins allow.
+    fn poll(&mut self, n: usize, node: &mut SrmNode<'_>, now: SimTime) {
+        let arrivals = self.arrivals;
+        let max = self.config.srm.max_concurrent_jobs;
+        while self.slots[n].in_service < max {
+            let Some(&i) = self.slots[n].queue.front() else {
+                break;
+            };
+            // Batched fast path: a maximal front run of fully-resident jobs
+            // is admitted through one `handle_batch` call. Hits mutate
+            // nothing but the request history — no eviction, no fetch — so
+            // the `supports` precheck cannot be invalidated mid-run, and
+            // deferring the pins to after the batch changes nothing (pins
+            // only gate evictions, which hits never attempt). Bit-identical
+            // to the per-job loop by the `handle_batch` contract.
+            let slots_free = max - self.slots[n].in_service;
+            let run_len = self.slots[n]
+                .queue
+                .iter()
+                .take(slots_free)
+                .take_while(|&&j| node.cache.contains_all(&arrivals[j].bundle))
+                .count();
+            if run_len >= 2 {
+                let mut batch = std::mem::take(&mut self.hit_batch);
+                let mut out = std::mem::take(&mut self.hit_out);
+                batch.clear();
+                let queued = self.slots[n].queue.iter().take(run_len);
+                batch.extend(queued.map(|&j| &arrivals[j].bundle));
+                out.clear();
+                node.policy
+                    .handle_batch(&batch, node.cache, self.catalog, &mut out);
+                debug_assert!(node.cache.check_invariants());
+                for outcome in out.drain(..).take(run_len) {
+                    let j = self.slots[n].queue.pop_front();
+                    let j = j.expect("run length bounded by queue");
+                    debug_assert!(outcome.hit && outcome.serviced);
+                    self.tally(n, |s| s.cache.record(&outcome));
+                    self.start(n, j, node.cache, outcome, now);
+                }
+                self.hit_batch = batch;
+                self.hit_out = out;
+                continue;
+            }
+            let outcome = node
+                .policy
+                .handle(&arrivals[i].bundle, node.cache, self.catalog);
+            debug_assert!(node.cache.check_invariants());
+            self.tally(n, |s| s.cache.record(&outcome));
+            if !outcome.serviced {
+                if outcome.requested_bytes > node.cache.capacity() {
+                    // Permanently infeasible: reject.
+                    self.slots[n].queue.pop_front();
+                    self.tally(n, |s| s.rejected += 1);
+                    if self.obs.is_enabled() {
+                        self.obs.incr("grid.jobs_rejected");
+                        self.obs.event("reject", &[("job", Field::u(i as u64))]);
                     }
-                    events.schedule(deadline, Event::FetchFailed(i));
-                    return;
+                    continue;
+                }
+                // Pinned files of in-service jobs block the space; retry
+                // when a job completes. With nothing in service this would
+                // deadlock — treat it as a policy bug.
+                assert!(
+                    self.slots[n].in_service > 0,
+                    "policy failed to service a feasible request on an unpinned cache"
+                );
+                break;
+            }
+            self.slots[n].queue.pop_front();
+            self.start(n, i, node.cache, outcome, now);
+        }
+    }
+
+    /// Puts serviced job `i` in service on node `n` and issues its fetch.
+    fn start(
+        &mut self,
+        n: usize,
+        i: usize,
+        cache: &mut CacheState,
+        mut outcome: RequestOutcome,
+        now: SimTime,
+    ) {
+        pin_bundle(cache, &self.arrivals[i].bundle);
+        self.slots[n].in_service += 1;
+        self.jobs[i].fetched_bytes = outcome.fetched_bytes;
+        self.jobs[i].requested_bytes = outcome.requested_bytes;
+        if let Store::Replicated { files, .. } = &mut self.store {
+            files[i] = std::mem::take(&mut outcome.fetched_files);
+        }
+        self.issue_fetch(i, now);
+    }
+
+    /// Issues one fetch attempt for job `i` at `now`, scheduling either
+    /// `FetchDone` or `FetchFailed`.
+    fn issue_fetch(&mut self, i: usize, now: SimTime) {
+        let hit = match &self.store {
+            Store::Mss(_) => self.jobs[i].fetched_bytes == 0,
+            Store::Replicated { files, .. } => files[i].is_empty(),
+        };
+        if hit {
+            // Pure cache hit: nothing to fetch, nothing that can fail.
+            self.events.schedule(now, Event::FetchDone(i));
+            return;
+        }
+        let n = self.jobs[i].node as usize;
+        self.jobs[i].attempts += 1;
+        self.tally(n, |s| s.fetch_attempts += 1);
+        let obs = self.obs;
+        if obs.is_enabled() {
+            obs.incr("grid.fetch_attempts");
+            obs.event(
+                "fetch",
+                &[
+                    ("job", Field::u(i as u64)),
+                    ("bytes", Field::u(self.jobs[i].fetched_bytes)),
+                    ("attempt", Field::u(self.jobs[i].attempts as u64)),
+                ],
+            );
+        }
+        let arrive = self.read(i, now);
+        let deadline = self.config.retry.fetch_timeout.map(|t| now + t);
+        match arrive {
+            Some(done) => {
+                if let Some(deadline) = deadline {
+                    if done > deadline {
+                        // The attempt would finish, but not before the SRM
+                        // gives up on it. The drive/link stay occupied (no
+                        // cancellation in the MSS protocol); the SRM just
+                        // stops waiting.
+                        self.tally(n, |s| s.fetch_timeouts += 1);
+                        if obs.is_enabled() {
+                            obs.incr("grid.fetch_timeouts");
+                            obs.event("fetch_timeout", &[("job", Field::u(i as u64))]);
+                        }
+                        self.events.schedule(deadline, Event::FetchFailed(i));
+                        return;
+                    }
+                }
+                let transient = self
+                    .faults
+                    .as_mut()
+                    .is_some_and(|inj| inj.draw_transient_failure());
+                if transient {
+                    self.tally(n, |s| s.transient_fetch_errors += 1);
+                    if obs.is_enabled() {
+                        obs.incr("grid.transient_errors");
+                        obs.event("transient_fault", &[("job", Field::u(i as u64))]);
+                    }
+                    self.events.schedule(done, Event::FetchFailed(i));
+                } else {
+                    self.events.schedule(done, Event::FetchDone(i));
                 }
             }
-            let transient = faults
-                .as_mut()
-                .is_some_and(|inj| inj.draw_transient_failure());
-            if transient {
-                stats.transient_fetch_errors += 1;
+            None => {
+                // A permanent outage strands the attempt: it can never
+                // complete. With a timeout the SRM notices at the deadline;
+                // without one it would wait forever, so fail the attempt
+                // immediately — the simulation must terminate either way.
+                self.tally(n, |s| s.fetch_timeouts += 1);
                 if obs.is_enabled() {
-                    obs.incr("grid.transient_errors");
-                    obs.event("transient_fault", &[("job", Field::u(i as u64))]);
+                    obs.incr("grid.fetch_timeouts");
+                    obs.event("fetch_stranded", &[("job", Field::u(i as u64))]);
                 }
-                events.schedule(done, Event::FetchFailed(i));
-            } else {
-                events.schedule(done, Event::FetchDone(i));
+                self.events
+                    .schedule(deadline.unwrap_or(now), Event::FetchFailed(i));
             }
         }
-        None => {
-            // A permanent outage strands the attempt: it can never complete.
-            // With a timeout the SRM notices at the deadline; without one it
-            // would wait forever, so fail the attempt immediately — the
-            // simulation must terminate either way.
-            stats.fetch_timeouts += 1;
-            if obs.is_enabled() {
-                obs.incr("grid.fetch_timeouts");
-                obs.event("fetch_stranded", &[("job", Field::u(i as u64))]);
+    }
+
+    /// Reads job `i`'s missing data through the storage seam and ships it
+    /// over the link: returns when it has all arrived, or `None` if it
+    /// never will.
+    fn read(&mut self, i: usize, now: SimTime) -> Option<SimTime> {
+        let faults = self.faults.as_ref();
+        let link = &mut self.link;
+        match &mut self.store {
+            Store::Mss(mss) => {
+                let bytes = self.jobs[i].fetched_bytes;
+                let read_done = mss.schedule_fetch_with(now, bytes, faults)?;
+                link.schedule_transfer_with(read_done, bytes, faults)
             }
-            events.schedule(deadline.unwrap_or(now), Event::FetchFailed(i));
+            Store::Replicated {
+                placement,
+                sites,
+                files,
+            } => files[i].iter().try_fold(SimTime::ZERO, |done, &f| {
+                let size = self.catalog.size(f);
+                // Greedy replica selection: commit to the site whose
+                // earliest-free drive would finish this read first.
+                let best = placement
+                    .replicas_of(f)
+                    .iter()
+                    .map(|&s| s as usize)
+                    .min_by_key(|&s| sites[s].probe_fetch(now, size, faults).unwrap_or(FOREVER))
+                    .unwrap_or_else(|| panic!("file {f} has no replica"));
+                let read_done = sites[best].schedule_fetch_with(now, size, faults)?;
+                Some(done.max(link.schedule_transfer_with(read_done, size, faults)?))
+            }),
         }
     }
 }
@@ -206,14 +486,15 @@ pub fn run_grid_observed(
     run_grid_on_cache(policy, catalog, arrivals, config, plan, obs, &mut cache)
 }
 
-/// [`run_grid_observed`] on a caller-owned [`CacheState`].
+/// [`run_grid_observed`] on a caller-owned [`CacheState`]: the one-node,
+/// single-MSS [`run_grid_topology`].
 ///
-/// This is the engine's reusable core: the sharded service
-/// ([`crate::concurrent`]) runs one instance per shard, each on its own
-/// cache (typically `capacity / shards`) — rejection compares against
-/// `cache.capacity()`, so a per-shard cache naturally rejects bundles
-/// infeasible for its share. With `cache = CacheState::new(srm.cache_size)`
-/// this is exactly [`run_grid_observed`].
+/// The sharded service ([`crate::concurrent`]) runs one instance per
+/// shard, each on its own cache (typically `capacity / shards`) —
+/// rejection compares against `cache.capacity()`, so a per-shard cache
+/// naturally rejects bundles infeasible for its share. With
+/// `cache = CacheState::new(srm.cache_size)` this is exactly
+/// [`run_grid_observed`].
 pub fn run_grid_on_cache(
     policy: &mut dyn CachePolicy,
     catalog: &FileCatalog,
@@ -223,218 +504,212 @@ pub fn run_grid_on_cache(
     obs: &Obs,
     cache: &mut CacheState,
 ) -> GridStats {
-    if obs.is_enabled() {
-        policy.attach_obs(obs.clone());
-    }
-    policy.prepare_from(&mut arrivals.iter().map(|a| &a.bundle));
+    let node = SrmNode { policy, cache };
+    let topology = Topology::default();
+    run_grid_topology(&mut [node], topology, catalog, arrivals, config, plan, obs).overall
+}
 
+/// Runs a grid of `nodes` over `topology`'s storage and dispatch.
+///
+/// Every node runs `config.srm` apart from its cache, which it owns; the
+/// storage hardware (per site, when replicated), the link, the retry
+/// policy and the fault plan are shared. `per_node` in the result is
+/// filled only when there is more than one node.
+///
+/// # Panics
+/// Panics if `nodes` is empty.
+pub fn run_grid_topology(
+    nodes: &mut [SrmNode<'_>],
+    topology: Topology<'_>,
+    catalog: &FileCatalog,
+    arrivals: &[JobArrival],
+    config: &GridConfig,
+    plan: Option<&FaultPlan>,
+    obs: &Obs,
+) -> MultiGridStats {
+    assert!(!nodes.is_empty(), "need at least one SRM node");
+    for node in nodes.iter_mut() {
+        if obs.is_enabled() {
+            node.policy.attach_obs(obs.clone());
+        }
+        node.policy
+            .prepare_from(&mut arrivals.iter().map(|a| &a.bundle));
+    }
     let mut events: EventQueue<Event> = EventQueue::new();
     for (i, a) in arrivals.iter().enumerate() {
         events.schedule(a.at, Event::Arrival(i));
     }
-
-    let mut mss = MassStorage::new(config.mss);
-    let mut link = Link::new(config.link);
-    let mut faults = plan.map(|p| FaultInjector::new(p, config.mss.drives));
-    let mut stats = GridStats::default();
+    let store = match topology.storage {
+        Storage::Mss => Store::Mss(MassStorage::new(config.mss)),
+        Storage::Replicated(placement) => Store::Replicated {
+            placement,
+            sites: vec![MassStorage::new(config.mss); placement.sites()],
+            files: vec![Vec::new(); arrivals.len()],
+        },
+    };
+    let several = nodes.len() > 1;
+    let mut stats = MultiGridStats {
+        per_node: vec![GridStats::default(); if several { nodes.len() } else { 0 }],
+        routed: vec![0; nodes.len()],
+        ..MultiGridStats::default()
+    };
     if config.full_response_log {
-        stats.responses.enable_full_log();
+        stats.overall.responses.enable_full_log();
+        for s in &mut stats.per_node {
+            s.responses.enable_full_log();
+        }
     }
-
-    let mut jobs: Vec<JobState> = arrivals
-        .iter()
-        .map(|a| JobState {
-            arrival: a.at,
-            fetched_bytes: 0,
-            requested_bytes: 0,
-            attempts: 0,
-        })
-        .collect();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut in_service: usize = 0;
+    let mut run = Run {
+        catalog,
+        arrivals,
+        config,
+        obs,
+        events,
+        store,
+        link: Link::new(config.link),
+        faults: plan.map(|p| FaultInjector::new(p, config.mss.drives)),
+        jobs: arrivals
+            .iter()
+            .map(|a| JobState {
+                arrival: a.at,
+                fetched_bytes: 0,
+                requested_bytes: 0,
+                attempts: 0,
+                node: 0,
+            })
+            .collect(),
+        slots: (0..nodes.len()).map(|_| Slots::default()).collect(),
+        stats,
+        hit_batch: Vec::new(),
+        hit_out: Vec::new(),
+    };
+    let affinity = ShardMap::new(nodes.len(), ShardBy::Bundle);
+    let mut next_round_robin = 0usize;
     let mut last_completion = SimTime::ZERO;
-    let mut hit_out: Vec<RequestOutcome> = Vec::new();
-    // Scratch for the batched-hit fast path below: reused across drains so
-    // a busy steady state allocates nothing per event.
-    let mut hit_batch: Vec<&fbc_core::bundle::Bundle> = Vec::new();
 
-    while let Some((now, event)) = events.pop() {
+    while let Some((now, event)) = run.events.pop() {
         obs.set_now(now.micros());
-        match event {
+        // The node whose queue or service slots this event changed.
+        let n = match event {
             Event::Arrival(i) => {
                 if obs.is_enabled() {
                     obs.incr("grid.arrivals");
                     obs.event("arrival", &[("job", Field::u(i as u64))]);
                 }
-                queue.push_back(i);
+                let n = match topology.dispatch {
+                    Dispatch::RoundRobin => {
+                        let n = next_round_robin;
+                        next_round_robin = (n + 1) % nodes.len();
+                        n
+                    }
+                    Dispatch::LeastLoaded => (0..nodes.len())
+                        .min_by_key(|&k| run.slots[k].queue.len() + run.slots[k].in_service)
+                        .expect("at least one node"),
+                    Dispatch::BundleAffinity => affinity.shard_of(&arrivals[i].bundle),
+                };
+                if several && obs.is_enabled() {
+                    obs.event(
+                        "route",
+                        &[("job", Field::u(i as u64)), ("node", Field::u(n as u64))],
+                    );
+                }
+                run.stats.routed[n] += 1;
+                run.jobs[i].node = n as u32;
+                run.slots[n].queue.push_back(i);
+                n
             }
             Event::FetchDone(i) => {
-                let processing = config.srm.processing_time(jobs[i].requested_bytes);
-                events.schedule(now + processing, Event::ProcessDone(i));
+                let processing = config.srm.processing_time(run.jobs[i].requested_bytes);
+                run.events.schedule(now + processing, Event::ProcessDone(i));
                 continue; // no new service slot freed
             }
             Event::FetchFailed(i) => {
-                if jobs[i].attempts <= config.retry.max_retries {
-                    stats.fetch_retries += 1;
-                    let jitter = faults
+                let n = run.jobs[i].node as usize;
+                let attempts = run.jobs[i].attempts;
+                if attempts <= config.retry.max_retries {
+                    run.tally(n, |s| s.fetch_retries += 1);
+                    let jitter = run
+                        .faults
                         .as_mut()
                         .map_or(1.0, |inj| inj.backoff_jitter(config.retry.jitter_frac));
-                    let delay = config.retry.backoff(jobs[i].attempts, jitter);
+                    let delay = config.retry.backoff(attempts, jitter);
                     if obs.is_enabled() {
                         obs.incr("grid.fetch_retries");
                         obs.event(
                             "retry",
                             &[
                                 ("job", Field::u(i as u64)),
-                                ("attempt", Field::u(jobs[i].attempts as u64)),
+                                ("attempt", Field::u(attempts as u64)),
                                 ("backoff_us", Field::u(delay.micros())),
                             ],
                         );
                     }
-                    events.schedule(now + delay, Event::RetryFetch(i));
+                    run.events.schedule(now + delay, Event::RetryFetch(i));
                     continue; // slot stays held while backing off
                 }
                 // Retry budget exhausted: give the job up gracefully.
-                unpin_bundle(cache, &arrivals[i].bundle);
-                in_service -= 1;
-                stats.failed += 1;
+                unpin_bundle(nodes[n].cache, &arrivals[i].bundle);
+                run.slots[n].in_service -= 1;
+                run.tally(n, |s| s.failed += 1);
                 if obs.is_enabled() {
                     obs.incr("grid.jobs_failed");
                     obs.event(
                         "job_failed",
                         &[
                             ("job", Field::u(i as u64)),
-                            ("attempts", Field::u(jobs[i].attempts as u64)),
+                            ("attempts", Field::u(attempts as u64)),
                         ],
                     );
                 }
-                // Fall through: a service slot is now free.
+                n // a service slot is now free
             }
             Event::RetryFetch(i) => {
-                issue_fetch(
-                    i,
-                    now,
-                    config,
-                    &mut mss,
-                    &mut link,
-                    &mut faults,
-                    &mut events,
-                    &mut stats,
-                    &mut jobs,
-                    obs,
-                );
+                run.issue_fetch(i, now);
                 continue;
             }
             Event::ProcessDone(i) => {
-                unpin_bundle(cache, &arrivals[i].bundle);
-                in_service -= 1;
-                stats.completed += 1;
-                stats.responses.record(now.since(jobs[i].arrival));
+                let n = run.jobs[i].node as usize;
+                unpin_bundle(nodes[n].cache, &arrivals[i].bundle);
+                run.slots[n].in_service -= 1;
+                let response = now.since(run.jobs[i].arrival);
+                run.tally(n, |s| {
+                    s.completed += 1;
+                    s.responses.record(response);
+                });
                 last_completion = last_completion.max(now);
                 if obs.is_enabled() {
                     obs.incr("grid.jobs_completed");
-                    obs.observe("grid.response_us", now.since(jobs[i].arrival).micros());
+                    obs.observe("grid.response_us", response.micros());
                     obs.event(
                         "job_done",
                         &[
                             ("job", Field::u(i as u64)),
-                            ("response_us", Field::u(now.since(jobs[i].arrival).micros())),
+                            ("response_us", Field::u(response.micros())),
                         ],
                     );
                 }
+                n
             }
-        }
-
-        // Start as many queued jobs as concurrency and pins allow.
-        while in_service < config.srm.max_concurrent_jobs {
-            let Some(&i) = queue.front() else { break };
-            // Batched fast path: a maximal front run of fully-resident jobs
-            // is admitted through one `handle_batch` call. Hits mutate
-            // nothing but the request history — no eviction, no fetch — so
-            // the `supports` precheck cannot be invalidated mid-run, and
-            // deferring the pins to after the batch changes nothing (pins
-            // only gate evictions, which hits never attempt). Bit-identical
-            // to the per-job loop by the `handle_batch` contract.
-            let slots_free = config.srm.max_concurrent_jobs - in_service;
-            let run_len = queue
-                .iter()
-                .take(slots_free)
-                .take_while(|&&j| cache.contains_all(&arrivals[j].bundle))
-                .count();
-            if run_len >= 2 {
-                hit_batch.clear();
-                hit_batch.extend(queue.iter().take(run_len).map(|&j| &arrivals[j].bundle));
-                hit_out.clear();
-                policy.handle_batch(&hit_batch, cache, catalog, &mut hit_out);
-                debug_assert!(cache.check_invariants());
-                for outcome in hit_out.iter().take(run_len) {
-                    let j = queue.pop_front().expect("run length bounded by queue");
-                    debug_assert!(outcome.hit && outcome.serviced);
-                    stats.cache.record(outcome);
-                    pin_bundle(cache, &arrivals[j].bundle);
-                    in_service += 1;
-                    jobs[j].fetched_bytes = outcome.fetched_bytes;
-                    jobs[j].requested_bytes = outcome.requested_bytes;
-                    issue_fetch(
-                        j,
-                        now,
-                        config,
-                        &mut mss,
-                        &mut link,
-                        &mut faults,
-                        &mut events,
-                        &mut stats,
-                        &mut jobs,
-                        obs,
-                    );
-                }
-                continue;
-            }
-            let bundle = &arrivals[i].bundle;
-            let outcome = policy.handle(bundle, cache, catalog);
-            debug_assert!(cache.check_invariants());
-            stats.cache.record(&outcome);
-            if !outcome.serviced {
-                if outcome.requested_bytes > cache.capacity() {
-                    // Permanently infeasible: reject.
-                    queue.pop_front();
-                    stats.rejected += 1;
-                    if obs.is_enabled() {
-                        obs.incr("grid.jobs_rejected");
-                        obs.event("reject", &[("job", Field::u(i as u64))]);
-                    }
-                    continue;
-                }
-                // Pinned files of in-service jobs block the space; retry
-                // when a job completes. With nothing in service this would
-                // deadlock — treat it as a policy bug.
-                assert!(
-                    in_service > 0,
-                    "policy failed to service a feasible request on an unpinned cache"
-                );
-                break;
-            }
-            queue.pop_front();
-            pin_bundle(cache, bundle);
-            in_service += 1;
-            jobs[i].fetched_bytes = outcome.fetched_bytes;
-            jobs[i].requested_bytes = outcome.requested_bytes;
-            issue_fetch(
-                i,
-                now,
-                config,
-                &mut mss,
-                &mut link,
-                &mut faults,
-                &mut events,
-                &mut stats,
-                &mut jobs,
-                obs,
-            );
-        }
+        };
+        run.poll(n, &mut nodes[n], now);
     }
 
-    stats.makespan = last_completion.since(SimTime::ZERO);
+    let mut stats = run.stats;
+    let o = &stats.overall;
+    debug_assert_eq!(
+        o.completed + o.failed + o.rejected,
+        arrivals.len() as u64,
+        "every arrival ends completed, failed or rejected"
+    );
+    debug_assert!(
+        nodes.iter().all(|node| node.cache.pinned_len() == 0),
+        "every pin is released by the end of the run"
+    );
+    let makespan = last_completion.since(SimTime::ZERO);
+    stats.overall.makespan = makespan;
+    for s in &mut stats.per_node {
+        s.makespan = makespan;
+    }
     stats
 }
 
@@ -443,7 +718,6 @@ mod tests {
     use super::*;
     use crate::client::{schedule_arrivals, ArrivalProcess};
     use crate::time::SimDuration;
-    use fbc_core::bundle::Bundle;
     use fbc_core::optfilebundle::OptFileBundle;
 
     fn quick_config(cache_size: u64) -> GridConfig {
@@ -661,5 +935,312 @@ mod tests {
         // Every job used its whole budget: 3 attempts, 2 retries each.
         assert_eq!(stats.fetch_attempts, 9);
         assert_eq!(stats.fetch_retries, 6);
+    }
+
+    /// Runs `n` OptFileBundle nodes over `topology`, no faults, obs off.
+    fn run_nodes(
+        n: usize,
+        topology: Topology<'_>,
+        catalog: &FileCatalog,
+        arrivals: &[JobArrival],
+        config: &GridConfig,
+    ) -> MultiGridStats {
+        let mut policies: Vec<Box<dyn CachePolicy>> = (0..n)
+            .map(|_| Box::new(OptFileBundle::new()) as Box<dyn CachePolicy>)
+            .collect();
+        let mut caches = vec![CacheState::with_catalog(config.srm.cache_size, catalog); n];
+        let mut nodes = SrmNode::zip(&mut policies, &mut caches);
+        run_grid_topology(
+            &mut nodes,
+            topology,
+            catalog,
+            arrivals,
+            config,
+            None,
+            &Obs::disabled(),
+        )
+    }
+
+    fn replicated(placement: &Placement) -> Topology<'_> {
+        Topology {
+            storage: Storage::Replicated(placement),
+            ..Topology::default()
+        }
+    }
+
+    fn cluster(dispatch: Dispatch) -> Topology<'static> {
+        Topology {
+            dispatch,
+            ..Topology::default()
+        }
+    }
+
+    /// One slow single-drive site per replica: drive contention dominates.
+    fn replica_config() -> GridConfig {
+        GridConfig {
+            srm: SrmConfig {
+                cache_size: 10_000_000,
+                max_concurrent_jobs: 2,
+                processing_rate: 1e8,
+                processing_overhead: SimDuration::from_millis(1),
+            },
+            mss: MssConfig {
+                drives: 1,
+                mount_latency: SimDuration::from_secs(1),
+                drive_bandwidth: 1e6,
+            },
+            link: LinkConfig {
+                latency: SimDuration::from_millis(1),
+                bandwidth: 1e9,
+            },
+            ..GridConfig::default()
+        }
+    }
+
+    fn replica_workload() -> (FileCatalog, Vec<JobArrival>) {
+        let catalog = FileCatalog::from_sizes(vec![1_000_000; 8]);
+        let jobs: Vec<Bundle> = (0..12)
+            .map(|i| b(&[(i * 2) % 8, (i * 2 + 1) % 8]))
+            .collect();
+        (catalog, schedule_arrivals(&jobs, ArrivalProcess::Batch))
+    }
+
+    #[test]
+    fn all_jobs_complete_with_replication() {
+        let (catalog, arrivals) = replica_workload();
+        let placement = Placement::full(8, 3);
+        let stats = run_nodes(
+            1,
+            replicated(&placement),
+            &catalog,
+            &arrivals,
+            &replica_config(),
+        );
+        assert_eq!(stats.overall.completed, 12);
+        assert_eq!(stats.overall.rejected, 0);
+    }
+
+    #[test]
+    fn more_replicas_do_not_hurt_makespan() {
+        let (catalog, arrivals) = replica_workload();
+        let run = |placement: Placement| {
+            run_nodes(
+                1,
+                replicated(&placement),
+                &catalog,
+                &arrivals,
+                &replica_config(),
+            )
+            .overall
+        };
+        // 1 copy on 1 site = fully serialised drives; 3 sites = parallelism.
+        let single = run(Placement::full(8, 1));
+        let triple = run(Placement::full(8, 3));
+        assert!(
+            triple.makespan <= single.makespan,
+            "3 sites {} > 1 site {}",
+            triple.makespan,
+            single.makespan
+        );
+        // Byte accounting is identical — replication changes timing only.
+        assert_eq!(triple.cache.fetched_bytes, single.cache.fetched_bytes);
+    }
+
+    #[test]
+    fn partial_replication_sits_between() {
+        let (catalog, arrivals) = replica_workload();
+        let run = |placement: Placement| {
+            let stats = run_nodes(
+                1,
+                replicated(&placement),
+                &catalog,
+                &arrivals,
+                &replica_config(),
+            );
+            stats.overall.makespan
+        };
+        let one = run(Placement::random(8, 3, 1, 42));
+        let full = run(Placement::full(8, 3));
+        assert!(
+            full <= one,
+            "full replication {full} worse than 1-copy {one}"
+        );
+    }
+
+    #[test]
+    fn replicated_runs_are_deterministic() {
+        let (catalog, arrivals) = replica_workload();
+        let placement = Placement::random(8, 3, 2, 9);
+        let run = || {
+            run_nodes(
+                1,
+                replicated(&placement),
+                &catalog,
+                &arrivals,
+                &replica_config(),
+            )
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn replicated_outage_retries_per_file_reads_to_success() {
+        // Drive 0 of every site is down for the first 30 s: every attempt
+        // issued in the outage strands, backs off and re-reads all files.
+        let (catalog, arrivals) = replica_workload();
+        let placement = Placement::full(8, 2);
+        let mut cfg = replica_config();
+        cfg.retry = RetryPolicy {
+            max_retries: 8,
+            base_backoff: SimDuration::from_secs(20),
+            max_backoff: SimDuration::from_secs(20),
+            jitter_frac: 0.0,
+            fetch_timeout: Some(SimDuration::from_secs(10)),
+        };
+        let plan = FaultPlan::parse("drive=0,0,30").unwrap();
+        let mut policy = OptFileBundle::new();
+        let mut cache = CacheState::with_catalog(cfg.srm.cache_size, &catalog);
+        let node = SrmNode {
+            policy: &mut policy,
+            cache: &mut cache,
+        };
+        let stats = run_grid_topology(
+            &mut [node],
+            replicated(&placement),
+            &catalog,
+            &arrivals,
+            &cfg,
+            Some(&plan),
+            &Obs::disabled(),
+        )
+        .overall;
+        assert_eq!(stats.completed, 12);
+        assert_eq!(stats.failed, 0);
+        assert!(stats.fetch_retries > 0);
+        assert!(stats.makespan >= SimDuration::from_secs(30));
+    }
+
+    fn cluster_config() -> GridConfig {
+        GridConfig {
+            srm: SrmConfig {
+                cache_size: 4_000_000,
+                max_concurrent_jobs: 2,
+                processing_rate: 1e8,
+                processing_overhead: SimDuration::from_millis(10),
+            },
+            mss: MssConfig {
+                drives: 2,
+                mount_latency: SimDuration::from_millis(200),
+                drive_bandwidth: 50e6,
+            },
+            link: LinkConfig {
+                latency: SimDuration::from_millis(5),
+                bandwidth: 200e6,
+            },
+            ..GridConfig::default()
+        }
+    }
+
+    /// 8 two-file bundles, each recurring 15 times.
+    fn cluster_workload() -> (FileCatalog, Vec<JobArrival>) {
+        let catalog = FileCatalog::from_sizes(vec![500_000; 20]);
+        let pool: Vec<Bundle> = (0..8).map(|i| b(&[i * 2, i * 2 + 1])).collect();
+        let jobs: Vec<Bundle> = (0..120).map(|i| pool[i % pool.len()].clone()).collect();
+        let arrivals = schedule_arrivals(
+            &jobs,
+            ArrivalProcess::Uniform {
+                gap: SimDuration::from_millis(50),
+            },
+        );
+        (catalog, arrivals)
+    }
+
+    #[test]
+    fn all_jobs_complete_across_nodes() {
+        let (catalog, arrivals) = cluster_workload();
+        for dispatch in [
+            Dispatch::RoundRobin,
+            Dispatch::LeastLoaded,
+            Dispatch::BundleAffinity,
+        ] {
+            let stats = run_nodes(3, cluster(dispatch), &catalog, &arrivals, &cluster_config());
+            assert_eq!(stats.overall.completed, 120, "{dispatch:?}");
+            assert_eq!(stats.routed.iter().sum::<u64>(), 120);
+            assert_eq!(stats.per_node.len(), 3);
+            assert_eq!(stats.per_node.iter().map(|s| s.completed).sum::<u64>(), 120);
+        }
+    }
+
+    #[test]
+    fn round_robin_is_perfectly_balanced() {
+        let (catalog, arrivals) = cluster_workload();
+        let stats = run_nodes(
+            3,
+            cluster(Dispatch::RoundRobin),
+            &catalog,
+            &arrivals,
+            &cluster_config(),
+        );
+        assert_eq!(stats.routed, vec![40, 40, 40]);
+        assert!((stats.routing_imbalance() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn affinity_routes_recurrences_to_one_node() {
+        let (catalog, arrivals) = cluster_workload();
+        let run =
+            |dispatch| run_nodes(3, cluster(dispatch), &catalog, &arrivals, &cluster_config());
+        // Every one of the 8 pool bundles recurs 15 times on a single node,
+        // so affinity's hit count must beat round-robin's.
+        let affinity = run(Dispatch::BundleAffinity);
+        let rr = run(Dispatch::RoundRobin);
+        assert!(
+            affinity.overall.cache.hits > rr.overall.cache.hits,
+            "affinity {} <= rr {}",
+            affinity.overall.cache.hits,
+            rr.overall.cache.hits
+        );
+        // And it is the shard map's bundle hash.
+        let map = ShardMap::new(3, ShardBy::Bundle);
+        let mut expected = vec![0u64; 3];
+        for a in &arrivals {
+            expected[map.shard_of(&a.bundle)] += 1;
+        }
+        assert_eq!(affinity.routed, expected);
+    }
+
+    #[test]
+    fn single_node_topology_matches_run_grid() {
+        let (catalog, arrivals) = cluster_workload();
+        let cfg = cluster_config();
+        for dispatch in [Dispatch::RoundRobin, Dispatch::LeastLoaded] {
+            let one = run_nodes(1, cluster(dispatch), &catalog, &arrivals, &cfg);
+            let mut policy = OptFileBundle::new();
+            let single = run_grid(&mut policy, &catalog, &arrivals, &cfg);
+            assert_eq!(one.overall, single);
+            assert!(one.per_node.is_empty());
+            assert_eq!(one.routed, vec![120]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one policy per node")]
+    fn policy_count_must_match_nodes() {
+        let mut policies: Vec<Box<dyn CachePolicy>> = vec![Box::new(OptFileBundle::new())];
+        let mut caches = vec![CacheState::new(1_000); 2];
+        let _ = SrmNode::zip(&mut policies, &mut caches);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one SRM node")]
+    fn a_grid_needs_a_node() {
+        let (catalog, arrivals) = cluster_workload();
+        let _ = run_nodes(
+            0,
+            Topology::default(),
+            &catalog,
+            &arrivals,
+            &cluster_config(),
+        );
     }
 }

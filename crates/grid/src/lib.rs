@@ -35,7 +35,6 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod mss;
-pub mod multi;
 pub mod network;
 pub mod replica;
 pub mod scenario;
@@ -50,15 +49,15 @@ pub use concurrent::{
     ConcurrentStats,
 };
 pub use engine::{
-    run_grid, run_grid_observed, run_grid_on_cache, run_grid_with_faults, GridConfig,
+    run_grid, run_grid_observed, run_grid_on_cache, run_grid_topology, run_grid_with_faults,
+    Dispatch, GridConfig, SrmNode, Storage, Topology,
 };
 pub use faults::{DriveSelector, FaultInjector, FaultPlan, RateWindow, FOREVER};
 pub use mss::{MassStorage, MssConfig};
-pub use multi::{run_multi_grid, Dispatch, MultiGridConfig, MultiGridStats};
 pub use network::{Link, LinkConfig};
-pub use replica::{run_grid_replicated, Placement, ReplicaGridConfig};
+pub use replica::Placement;
 pub use scenario::{run_scenario, run_scenario_with_faults, ScenarioConfig};
 pub use shard::{ShardBy, ShardMap};
 pub use srm::{RetryPolicy, SrmConfig};
-pub use stats::{GridReport, GridStats, ResponseStats};
+pub use stats::{GridReport, GridStats, MultiGridStats, ResponseStats};
 pub use time::{SimDuration, SimTime};

@@ -85,6 +85,34 @@ impl MassStorage {
         bytes: Bytes,
         faults: Option<&FaultInjector>,
     ) -> Option<SimTime> {
+        let (drive, done) = self.plan_fetch(now, bytes, faults);
+        let done = done?;
+        self.drive_free_at[drive] = done;
+        self.requests_served += 1;
+        self.bytes_read += bytes;
+        Some(done)
+    }
+
+    /// When a fetch of `bytes` issued at `now` would complete (`None`:
+    /// never), without scheduling it — the earliest-finish probe replicated
+    /// storage runs over a file's replica sites.
+    pub(crate) fn probe_fetch(
+        &self,
+        now: SimTime,
+        bytes: Bytes,
+        faults: Option<&FaultInjector>,
+    ) -> Option<SimTime> {
+        self.plan_fetch(now, bytes, faults).1
+    }
+
+    /// The earliest-free drive and the completion time a fetch would get
+    /// on it.
+    fn plan_fetch(
+        &self,
+        now: SimTime,
+        bytes: Bytes,
+        faults: Option<&FaultInjector>,
+    ) -> (usize, Option<SimTime>) {
         let drive = self
             .drive_free_at
             .iter()
@@ -95,13 +123,10 @@ impl MassStorage {
         let start = self.drive_free_at[drive].max(now);
         let work = self.service_time(bytes);
         let done = match faults {
-            None => start + work,
-            Some(inj) => inj.drive_completion(drive, start, work)?,
+            None => Some(start + work),
+            Some(inj) => inj.drive_completion(drive, start, work),
         };
-        self.drive_free_at[drive] = done;
-        self.requests_served += 1;
-        self.bytes_read += bytes;
-        Some(done)
+        (drive, done)
     }
 
     /// Requests served so far.
@@ -157,6 +182,15 @@ mod tests {
         assert_eq!(b.micros(), 2_000_000); // second drive
         let c = m.schedule_fetch(SimTime::ZERO, 1_000_000);
         assert_eq!(c.micros(), 4_000_000); // waits for a free drive
+    }
+
+    #[test]
+    fn probe_predicts_without_committing() {
+        let mut m = mss(1);
+        let probed = m.probe_fetch(SimTime::ZERO, 1_000_000, None);
+        assert_eq!(probed, Some(SimTime(2_000_000)));
+        assert_eq!(m.requests_served(), 0);
+        assert_eq!(Some(m.schedule_fetch(SimTime::ZERO, 1_000_000)), probed);
     }
 
     #[test]

@@ -3,7 +3,14 @@
 //! A [`ShardMap`] is a pure function of the bundle and the shard count —
 //! no state, no randomness — so the same trace always routes the same
 //! way, which is what makes a sharded run reproducible regardless of how
-//! many workers execute the shards.
+//! many workers execute the shards. The multi-node engine's
+//! [`crate::engine::Dispatch::BundleAffinity`] routes through the same map
+//! ([`ShardBy::Bundle`]).
+//!
+//! Both hash with std's `DefaultHasher`, whose algorithm Rust does not
+//! promise to keep stable across releases: a toolchain upgrade may move
+//! jobs between shards or nodes and so change committed figures (within
+//! one build, routing is always deterministic).
 
 use fbc_core::bundle::Bundle;
 use std::hash::{DefaultHasher, Hash, Hasher};

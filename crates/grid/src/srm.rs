@@ -111,11 +111,15 @@ pub fn pin_bundle(cache: &mut CacheState, bundle: &Bundle) {
 }
 
 /// Releases the pins taken by [`pin_bundle`].
+///
+/// # Panics
+/// Panics if a file is not resident or not pinned: a pinned file cannot be
+/// evicted, so either means the pin accounting is broken.
 pub fn unpin_bundle(cache: &mut CacheState, bundle: &Bundle) {
     for f in bundle.iter() {
-        // The file may have been evicted after an explicit unpin elsewhere;
-        // ignore, pins only protect in-service files.
-        let _ = cache.unpin(f);
+        cache
+            .unpin(f)
+            .expect("an in-service job's files stay resident and pinned until released");
     }
 }
 
@@ -200,5 +204,15 @@ mod tests {
         assert!(cache.evict(fbc_core::types::FileId(0)).is_err());
         unpin_bundle(&mut cache, &bundle);
         assert!(cache.evict(fbc_core::types::FileId(0)).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "stay resident and pinned")]
+    fn releasing_unheld_pins_panics() {
+        let catalog = FileCatalog::from_sizes(vec![1]);
+        let mut cache = CacheState::new(10);
+        let bundle = Bundle::from_raw([0]);
+        cache.insert(fbc_core::types::FileId(0), &catalog).unwrap();
+        unpin_bundle(&mut cache, &bundle);
     }
 }

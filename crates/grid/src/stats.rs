@@ -218,6 +218,34 @@ impl GridStats {
     }
 }
 
+/// Results of a grid run over one or more SRM nodes
+/// ([`crate::engine::run_grid_topology`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MultiGridStats {
+    /// Aggregated over all nodes.
+    pub overall: GridStats,
+    /// Per-node statistics, indexed by node id. Empty for a one-node grid,
+    /// whose node's statistics are `overall`.
+    pub per_node: Vec<GridStats>,
+    /// Jobs routed to each node.
+    pub routed: Vec<u64>,
+}
+
+impl MultiGridStats {
+    /// Max/mean routing imbalance: 1.0 is perfectly balanced.
+    pub fn routing_imbalance(&self) -> f64 {
+        let Some(&max) = self.routed.iter().max() else {
+            return 1.0;
+        };
+        let mean = self.routed.iter().sum::<u64>() as f64 / self.routed.len() as f64;
+        if mean <= 0.0 {
+            1.0
+        } else {
+            max as f64 / mean
+        }
+    }
+}
+
 /// A rendered summary of one grid run.
 ///
 /// The rendering is a pure function of the statistics, so determinism

@@ -8,8 +8,6 @@
 //! cargo run --release --example multi_srm_cluster
 //! ```
 
-use fbc_grid::multi::{run_multi_grid, Dispatch, MultiGridConfig};
-use fbc_grid::replica::{run_grid_replicated, Placement, ReplicaGridConfig};
 use file_bundle_cache::prelude::*;
 
 fn main() {
@@ -48,20 +46,29 @@ fn main() {
         Dispatch::LeastLoaded,
         Dispatch::BundleAffinity,
     ] {
-        let config = MultiGridConfig {
+        let config = GridConfig {
             srm: SrmConfig {
                 cache_size: GIB,
                 ..SrmConfig::default()
             },
-            nodes: 4,
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
-            dispatch,
+            ..GridConfig::default()
         };
         let mut policies: Vec<Box<dyn CachePolicy>> = (0..4)
             .map(|_| Box::new(OptFileBundle::new()) as Box<dyn CachePolicy>)
             .collect();
-        let stats = run_multi_grid(&mut policies, &workload.catalog, &arrivals, &config);
+        let mut caches = vec![CacheState::with_catalog(GIB, &workload.catalog); 4];
+        let stats = run_grid_topology(
+            &mut SrmNode::zip(&mut policies, &mut caches),
+            Topology {
+                dispatch,
+                ..Topology::default()
+            },
+            &workload.catalog,
+            &arrivals,
+            &config,
+            None,
+            &Obs::disabled(),
+        );
         table.add_row([
             dispatch.label().to_string(),
             format!("{:.4}", stats.overall.cache.byte_miss_ratio()),
@@ -81,17 +88,33 @@ fn main() {
         } else {
             Placement::random(workload.catalog.len(), 4, copies, 99)
         };
-        let config = ReplicaGridConfig {
+        let config = GridConfig {
             srm: SrmConfig {
                 cache_size: 4 * GIB,
                 ..SrmConfig::default()
             },
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
-            placement,
+            ..GridConfig::default()
         };
         let mut policy = OptFileBundle::new();
-        let stats = run_grid_replicated(&mut policy, &workload.catalog, &arrivals, &config);
+        let mut cache = CacheState::with_catalog(4 * GIB, &workload.catalog);
+        let node = SrmNode {
+            policy: &mut policy,
+            cache: &mut cache,
+        };
+        let topology = Topology {
+            storage: Storage::Replicated(&placement),
+            ..Topology::default()
+        };
+        let stats = run_grid_topology(
+            &mut [node],
+            topology,
+            &workload.catalog,
+            &arrivals,
+            &config,
+            None,
+            &Obs::disabled(),
+        )
+        .overall;
         table.add_row([
             copies.to_string(),
             format!("{:.1}", stats.mean_response().as_secs_f64()),

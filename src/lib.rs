@@ -58,10 +58,11 @@ pub mod prelude {
     pub use fbc_core::prelude::*;
     pub use fbc_grid::{
         run_concurrent_grid, run_concurrent_grid_observed, run_grid, run_grid_observed,
-        run_grid_with_faults, run_scenario, run_scenario_with_faults, ArrivalProcess,
-        ConcurrentConfig, ConcurrentSrm, ConcurrentStats, FaultPlan, GridConfig, GridReport,
-        GridStats, LinkConfig, MssConfig, ResponseStats, RetryPolicy, ScenarioConfig, ShardBy,
-        ShardMap, SimDuration, SimTime, SrmConfig,
+        run_grid_topology, run_grid_with_faults, run_scenario, run_scenario_with_faults,
+        ArrivalProcess, ConcurrentConfig, ConcurrentSrm, ConcurrentStats, Dispatch, FaultPlan,
+        GridConfig, GridReport, GridStats, LinkConfig, MssConfig, MultiGridStats, Placement,
+        ResponseStats, RetryPolicy, ScenarioConfig, ShardBy, ShardMap, SimDuration, SimTime,
+        SrmConfig, SrmNode, Storage, Topology,
     };
     pub use fbc_obs::{Field, Obs, ObsConfig};
     pub use fbc_sim::{
